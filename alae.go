@@ -135,16 +135,13 @@ type Stats struct {
 	Seeds             int64 // BLAST only: word hits examined
 
 	// EmittedHits counts the occurrence-resolved (tEnd, qEnd) cells the
-	// ALAE engines forwarded to the result collector;
-	// SuppressedEmissions counts the duplicates the diagonal dominance
-	// filter dropped before the collector; CopiedEmissions counts the
-	// cells the hybrid vertical phase recognised as already forwarded
-	// by an earlier branch of the same fork family and skipped (both
-	// are provable no-ops, so hit sets are unaffected). All three are
-	// invariant under Parallelism.
-	EmittedHits         int64
-	SuppressedEmissions int64
-	CopiedEmissions     int64
+	// ALAE engines forwarded to the result collector; CopiedEmissions
+	// counts the cells the hybrid vertical phase recognised as already
+	// forwarded by an earlier branch of the same fork family and skipped
+	// (a provable no-op, so hit sets are unaffected). Both are invariant
+	// under Parallelism.
+	EmittedHits     int64
+	CopiedEmissions int64
 }
 
 // add accumulates another search's counters into st — the gather step
@@ -163,7 +160,6 @@ func (st *Stats) add(o Stats) {
 	st.QueryCacheMisses += o.QueryCacheMisses
 	st.Seeds += o.Seeds
 	st.EmittedHits += o.EmittedHits
-	st.SuppressedEmissions += o.SuppressedEmissions
 	st.CopiedEmissions += o.CopiedEmissions
 }
 
@@ -400,7 +396,7 @@ func (ix *Index) SearchContext(cx context.Context, query []byte, opts SearchOpti
 			return nil, err
 		}
 		ses := e.AcquireSession()
-		st, err := ses.SearchContext(cx, query, s, h, c, opts.Parallelism)
+		st, err := ses.SearchLanes(cx, query, s, h, c, opts.Parallelism)
 		ses.Release()
 		if err != nil {
 			return nil, err

@@ -3,7 +3,7 @@ package align
 // RunStage is the first level of the two-level collector: a small
 // fixed-capacity staging buffer of row runs that the band kernels fill
 // with one append per emitting cell and the emit contexts flush in
-// bulk (occurrence fan-out, dominance filtering, Collector.AddRun).
+// bulk (occurrence fan-out, Collector.AddRun).
 // Capacities are chosen so a stage stays L1-resident; the hot loop
 // never touches the open-addressing table.
 //

@@ -13,7 +13,7 @@ package core
 // cancelled search stops within a bounded entry budget per worker:
 // at most cancelEntryBudget plus one unit's entries past the moment
 // the context fires. Hits already collected are discarded by the
-// caller (SearchContext returns the context's error); the session and
+// caller (SearchLanes returns the context's error); the session and
 // its buffers remain fully reusable — cancellation unwinds through the
 // same truncation paths a dead subtree does.
 

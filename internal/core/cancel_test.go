@@ -22,7 +22,7 @@ func cancelWorkload(n, m int, seed int64) (text, query []byte) {
 }
 
 // TestSearchContextCancellation pins the cancellation contract on both
-// engine modes and both scheduling paths: a cancelled context returns
+// engine modes, sequential and parallel: a cancelled context returns
 // its error with a bounded amount of work done, and the session stays
 // fully reusable — the next search over the same session reproduces
 // the uncancelled hit set and entry counts exactly.
@@ -46,7 +46,7 @@ func TestSearchContextCancellation(t *testing.T) {
 				c := align.NewCollector()
 
 				// Reference: the uncancelled answer through the same session.
-				refStats, err := ses.SearchContext(context.Background(), query, s, h, c, workers)
+				refStats, err := ses.SearchLanes(context.Background(), query, s, h, c, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -62,7 +62,7 @@ func TestSearchContextCancellation(t *testing.T) {
 				cancelled, cancel := context.WithCancel(context.Background())
 				cancel()
 				c.Reset()
-				st, err := ses.SearchContext(cancelled, query, s, h, c, workers)
+				st, err := ses.SearchLanes(cancelled, query, s, h, c, workers)
 				if err != context.Canceled {
 					t.Fatalf("pre-cancelled search returned %v, want context.Canceled", err)
 				}
@@ -81,7 +81,7 @@ func TestSearchContextCancellation(t *testing.T) {
 				midCtx, midCancel := context.WithCancel(context.Background())
 				timer := time.AfterFunc(time.Millisecond, midCancel)
 				c.Reset()
-				_, err = ses.SearchContext(midCtx, query, s, h, c, workers)
+				_, err = ses.SearchLanes(midCtx, query, s, h, c, workers)
 				timer.Stop()
 				midCancel()
 				if err != nil && err != context.Canceled {
@@ -91,7 +91,7 @@ func TestSearchContextCancellation(t *testing.T) {
 				// The session must be reusable after cancellation, with
 				// byte-identical results.
 				c.Reset()
-				st, err = ses.SearchContext(context.Background(), query, s, h, c, workers)
+				st, err = ses.SearchLanes(context.Background(), query, s, h, c, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,12 +118,12 @@ func TestSearchContextDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := ses.SearchContext(ctx, query, align.DefaultDNA, 30, c, 1); err != context.DeadlineExceeded {
+	if _, err := ses.SearchLanes(ctx, query, align.DefaultDNA, 30, c, 1); err != context.DeadlineExceeded {
 		t.Fatalf("expired deadline returned %v, want context.DeadlineExceeded", err)
 	}
 
 	c.Reset()
-	if _, err := ses.SearchContext(context.Background(), query, align.DefaultDNA, 30, c, 1); err != nil {
+	if _, err := ses.SearchLanes(context.Background(), query, align.DefaultDNA, 30, c, 1); err != nil {
 		t.Fatalf("search after expired-deadline search: %v", err)
 	}
 }

@@ -157,7 +157,7 @@ func (ctx *searchCtx) dfsEmitRowQ(node strie.Node, occGetter func() []int) {
 }
 
 // flushRowQ drains the row-q stage: each run fans out over the gram
-// node's occurrences through the dominance filter and batched AddRun.
+// node's occurrences through the batched AddRun.
 func (ctx *searchCtx) flushRowQ(occGetter func() []int) {
 	st := &ctx.ws.rowQ
 	if st.Empty() {

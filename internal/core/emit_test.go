@@ -10,15 +10,14 @@ import (
 	"repro/internal/seq"
 )
 
-// The emission-path suite: the batched run staging, the diagonal
-// dominance filter and the two-level collector must be invisible in
-// the results — hit sets byte-identical to the Smith-Waterman oracle
-// and across engine modes, parallelism and the suppression switch —
-// while the Emitted/Suppressed counters stay scheduling-invariant.
+// The emission-path suite: the batched run staging and the two-level
+// collector must be invisible in the results — hit sets byte-identical
+// to the Smith-Waterman oracle and across engine modes and parallelism
+// — while the Emitted/Copied counters stay scheduling-invariant.
 
 // emitWorkload builds a repeat-dense instance: the trie occurrence
 // fan-out over near-identical repeats is what makes the emission path
-// hot, stages overflow mid-row, and the dominance filter fire.
+// hot and stages overflow mid-row.
 func emitWorkload(a *seq.Alphabet, n, m int, seed int64) (text, query []byte) {
 	rng := rand.New(rand.NewSource(seed))
 	text = seq.RandomGenome(a, seq.GenomeConfig{
@@ -37,7 +36,6 @@ func emitWorkload(a *seq.Alphabet, n, m int, seed int64) (text, query []byte) {
 // hybrid, all byte-identical to the oracle and to each other, with the
 // emission counters invariant under worker count.
 func TestEmitParitySuite(t *testing.T) {
-	var suppressedTotal int64
 	for _, wl := range []struct {
 		name   string
 		alpha  *seq.Alphabet
@@ -67,7 +65,6 @@ func TestEmitParitySuite(t *testing.T) {
 				if seqSt.EmittedHits == 0 {
 					t.Fatalf("mode %v: no emissions recorded on an emitting workload", mode)
 				}
-				suppressedTotal += seqSt.SuppressedEmissions
 				for _, workers := range []int{2, 5} {
 					parC := align.NewCollector()
 					parSt, err := e.SearchParallel(query, wl.scheme, h, parC, workers)
@@ -78,19 +75,14 @@ func TestEmitParitySuite(t *testing.T) {
 						t.Fatalf("mode %v workers %d: hits diverge from oracle", mode, workers)
 					}
 					if parSt.EmittedHits != seqSt.EmittedHits ||
-						parSt.SuppressedEmissions != seqSt.SuppressedEmissions ||
 						parSt.CopiedEmissions != seqSt.CopiedEmissions {
-						t.Fatalf("mode %v workers %d: emission counters not scheduling-invariant: emitted %d/%d suppressed %d/%d copied %d/%d",
+						t.Fatalf("mode %v workers %d: emission counters not scheduling-invariant: emitted %d/%d copied %d/%d",
 							mode, workers, parSt.EmittedHits, seqSt.EmittedHits,
-							parSt.SuppressedEmissions, seqSt.SuppressedEmissions,
 							parSt.CopiedEmissions, seqSt.CopiedEmissions)
 					}
 				}
 			}
 		})
-	}
-	if suppressedTotal == 0 {
-		t.Error("dominance filter never fired across repeat-dense workloads; the filter is dead code")
 	}
 }
 
@@ -150,11 +142,11 @@ func TestHybridEmitParity(t *testing.T) {
 // TestPropertyCopyReuseLossless is the copy path's safety property: for
 // any input, the hybrid engine with copy reuse produces exactly the hit
 // set of the engine without it, and the emission books balance — every
-// fan-out cell is forwarded, suppressed, or copied, never silently
-// dropped, so Emitted+Suppressed+Copied is invariant under the switch.
+// fan-out cell is forwarded or copied, never silently dropped, so
+// Emitted+Copied is invariant under the switch.
 func TestPropertyCopyReuseLossless(t *testing.T) {
 	s := align.DefaultDNA
-	f := func(in suppressionInput) bool {
+	f := func(in repeatInput) bool {
 		h := s.MinThreshold() + int(in.HOff)
 		on := New(in.Text, Options{Mode: ModeHybrid})
 		cOn := align.NewCollector()
@@ -171,9 +163,7 @@ func TestPropertyCopyReuseLossless(t *testing.T) {
 		if stOff.CopiedEmissions != 0 {
 			return false
 		}
-		onTotal := stOn.EmittedHits + stOn.SuppressedEmissions + stOn.CopiedEmissions
-		offTotal := stOff.EmittedHits + stOff.SuppressedEmissions
-		if onTotal != offTotal {
+		if stOn.EmittedHits+stOn.CopiedEmissions != stOff.EmittedHits {
 			return false
 		}
 		return align.EqualHits(cOn.Hits(), cOff.Hits())
@@ -220,26 +210,24 @@ func TestEmitStageOverflow(t *testing.T) {
 	}
 }
 
-// suppressionInput reuses the randomized generator shape of
+// repeatInput reuses the randomized generator shape of
 // property_test.go but biases toward repetitive texts, where duplicate
-// emissions (and so suppression) actually occur.
-type suppressionInput struct {
+// emissions (and so copy reuse) actually occur.
+type repeatInput struct {
 	Text  []byte
 	Query []byte
 	HOff  uint8
-	Mode  bool
 }
 
-func (suppressionInput) Generate(r *rand.Rand, _ int) reflect.Value {
+func (repeatInput) Generate(r *rand.Rand, _ int) reflect.Value {
 	letters := []byte("ACGT")
 	sigma := 2 + r.Intn(3) // small alphabets repeat heavily
 	n := 20 + r.Intn(150)
 	m := 8 + r.Intn(60)
-	in := suppressionInput{
+	in := repeatInput{
 		Text:  make([]byte, n),
 		Query: make([]byte, m),
 		HOff:  uint8(r.Intn(6)),
-		Mode:  r.Intn(2) == 0,
 	}
 	for i := range in.Text {
 		in.Text[i] = letters[r.Intn(sigma)]
@@ -248,44 +236,4 @@ func (suppressionInput) Generate(r *rand.Rand, _ int) reflect.Value {
 		in.Query[i] = letters[r.Intn(sigma)]
 	}
 	return reflect.ValueOf(in)
-}
-
-// TestPropertyEmitSuppressionLossless is the dominance filter's
-// safety property: for any input, the engine with suppression produces
-// exactly the hit set (per-pair maxima included) of the engine without
-// it, and the books balance — every fan-out cell is either forwarded
-// or suppressed, never silently dropped.
-func TestPropertyEmitSuppressionLossless(t *testing.T) {
-	s := align.DefaultDNA
-	f := func(in suppressionInput) bool {
-		h := s.MinThreshold() + int(in.HOff)
-		opts := Options{}
-		if in.Mode {
-			opts.Mode = ModeHybrid
-		}
-		on := New(in.Text, opts)
-		cOn := align.NewCollector()
-		stOn, err := on.Search(in.Query, s, h, cOn)
-		if err != nil {
-			return false
-		}
-		offOpts := opts
-		offOpts.DisableEmitSuppression = true
-		off := New(in.Text, offOpts)
-		cOff := align.NewCollector()
-		stOff, err := off.Search(in.Query, s, h, cOff)
-		if err != nil {
-			return false
-		}
-		if stOff.SuppressedEmissions != 0 {
-			return false
-		}
-		if stOn.EmittedHits+stOn.SuppressedEmissions != stOff.EmittedHits {
-			return false
-		}
-		return align.EqualHits(cOn.Hits(), cOff.Hits())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
 }

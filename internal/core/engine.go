@@ -11,9 +11,9 @@
 //     fork into an exact-match region (assigned scores), a no-gap
 //     region (Equation 3, one-source recurrence), and a gap region
 //     entered at the first gap-open entry (FGOE).
-//   - Global filtering (§3.2) skips whole forks: q-prefix domination
-//     (Lemma 1, via the offline domination index) and optionally the
-//     online boolean matrix G (Theorem 4).
+//   - Global filtering (§3.2) skips whole forks by q-prefix
+//     domination (Lemma 1, via the offline domination index), which
+//     subsumes the paper's n×m boolean matrix G (§3.2.1).
 //   - Score reuse (§4) is provided by the Hybrid engine mode, which
 //     computes gap regions column-wise (calMatrixByColumn) and copies
 //     columns between forks whose FGOEs share a row, using the
@@ -44,10 +44,9 @@ const (
 	ModeHybrid
 )
 
-// Options configures an Engine. The zero value enables every filter
-// except the space-hungry G-matrix, matching the paper's ALAE
-// configuration; individual filters can be switched off for the
-// ablation experiments.
+// Options configures an Engine. The zero value enables every filter,
+// matching the paper's ALAE configuration; individual filters can be
+// switched off for the ablation experiments.
 type Options struct {
 	Mode Mode
 
@@ -58,23 +57,11 @@ type Options struct {
 	DisableScoreFilter bool
 	// DisableDomination turns the Lemma 1 global filter off.
 	DisableDomination bool
-	// EnableGMatrix turns the §3.2.1 boolean-matrix global filter on.
-	// It needs O(n·m/8) bytes per searched query in the worst case,
-	// which is why the paper develops domination as its replacement;
-	// GMatrixMaxBytes caps the allocation (default 1 GiB).
-	EnableGMatrix   bool
-	GMatrixMaxBytes int
 	// GramCacheSize is the capacity, in entries, of the cross-query
 	// gram→trie-node LRU cache (gramcache.go). 0 means the default
 	// (65536 entries); negative disables the cache. The cache only
 	// changes where resolution work happens, never its outcome.
 	GramCacheSize int
-	// DisableEmitSuppression turns the emission path's diagonal
-	// dominance filter off, so every occurrence-resolved cell reaches
-	// the collector. The hit set is identical either way — the filter
-	// only drops provable collector no-ops — which the emission tests
-	// verify against this switch.
-	DisableEmitSuppression bool
 	// DisableCopyReuse turns the hybrid vertical phase's emitted
 	// watermark off, so gap regions recomputed across trie branches
 	// re-forward their shared-prefix rows instead of counting them as
@@ -105,7 +92,6 @@ type Engine struct {
 	dom     map[int]*domination.Index // per q, built lazily
 	gcaches map[int]*gramCache        // per q, built lazily (gramcache.go)
 
-	wsPool   sync.Pool // *workspace, reused across searches and workers
 	sessPool sync.Pool // *Session, reused across queries and callers
 }
 
@@ -117,9 +103,6 @@ func New(text []byte, opts Options) *Engine {
 // NewFromTrie wraps an existing emulated suffix trie (shareable with
 // the BWT-SW engine).
 func NewFromTrie(t *strie.Trie, opts Options) *Engine {
-	if opts.GMatrixMaxBytes <= 0 {
-		opts.GMatrixMaxBytes = 1 << 30
-	}
 	return &Engine{trie: t, opts: opts, dom: make(map[int]*domination.Index)}
 }
 
@@ -158,8 +141,7 @@ func (e *Engine) Search(query []byte, s align.Scheme, h int, c *align.Collector)
 // column set — so workers pull families from a shared queue, collect
 // hits into private collector shards, and the results merge by
 // max-score, producing exactly the sequential engine's hit set and
-// entry counts regardless of scheduling. The order-dependent G-matrix
-// global filter forces workers to 1 when enabled.
+// entry counts regardless of scheduling.
 //
 // SearchParallel is the one-shot shell over the session machinery: it
 // borrows a pooled Session (which owns every per-query structure and
@@ -253,7 +235,6 @@ type searchCtx struct {
 	delta    []int32 // δ table: delta[k*m+j] = δ(letter k, query[j]); read-only, shared
 	colBound []int32 // Theorem 2 column bounds: h − (m−j)·sa, or negInf when disabled
 	dom      *domination.Index
-	gm       *gMatrix
 	mute     bool // suppress gap-region entry counting (hybrid oracles)
 	barrier  int  // dense code of Options.BarrierByte, or -1 (no barrier)
 
@@ -284,7 +265,7 @@ func (ctx *searchCtx) rowBound(i int) int32 {
 	return int32(ctx.h - (ctx.lmax-i)*ctx.s.Match)
 }
 
-// workspace is the reusable traversal scratch of one worker. The DFS
+// workspace is the reusable traversal scratch of one lane. The DFS
 // engine's entire per-gram state lives here as flat structure-of-arrays
 // slabs — the explicit walk stack (frames), the live-diagonal stack
 // (diags), the merged gap-region band slab (slab) — plus the per-gram
@@ -292,9 +273,8 @@ func (ctx *searchCtx) rowBound(i int) int32 {
 // buffers). Everything is sized by the first searches and reused, so
 // the per-gram path (processGram → dfsGram → advanceMergedBand)
 // allocates nothing in steady state. The hybrid engine keeps its
-// recursive child-enumeration buffer pool. Workspaces live in an
-// engine-level sync.Pool so repeated and concurrent searches share
-// them.
+// recursive child-enumeration buffer pool. Each session lane owns one
+// workspace (parallel.go) and keeps it across searches.
 type workspace struct {
 	pool []*childScratch // hybrid engine's per-level buffers
 
@@ -311,24 +291,14 @@ type workspace struct {
 	hb [2]bandPair  // ping-pong rows for newForkInto's pre-q bands
 	hs *hybridState // hybrid engine per-search state (frames, arenas), lazily built
 
-	diag      []diagCell     // diagonal dominance table (emit.go), lazily sized
-	diagEpoch uint32         // current arming epoch; bumped per fork family
-	rowQ      align.RunStage // staging for the gram node's own row-q emissions
+	rowQ align.RunStage // staging for the gram node's own row-q emissions
 }
-
-func (e *Engine) getWorkspace() *workspace {
-	if ws, ok := e.wsPool.Get().(*workspace); ok {
-		return ws
-	}
-	return &workspace{}
-}
-
-func (e *Engine) putWorkspace(ws *workspace) { e.wsPool.Put(ws) }
 
 // scrub drops the per-search pointers the scratch captured — emit
 // contexts point at the search's collector and query, the hybrid state
-// at its whole searchCtx — so an idle pooled workspace pins only its
-// own buffers, never the last caller's collector, G-matrix or query.
+// at its whole searchCtx — so the workspace of an idle pooled session
+// pins only its own buffers, never the last caller's collector or
+// query.
 // Retained locate buffers survive (they are workspace-owned). Staging
 // buffers are emptied unconditionally: a cancelled search may abandon
 // staged runs mid-walk, and they must not leak into the next query.
@@ -429,22 +399,14 @@ func (ctx *searchCtx) processGram(fam *gramFamily) {
 			ctx.st.ForksDominated++
 			continue
 		}
-		if ctx.gm != nil && ctx.gm.covered(int(col0), occGetter()) {
-			ctx.st.ForksGMatrixFiltered++
-			continue
-		}
 		survivors = append(survivors, col0)
 		ctx.st.ForksStarted++
 		ctx.st.EntriesEMR += int64(len(gram))
-		if ctx.gm != nil {
-			ctx.gm.markEMR(int(col0), len(gram), occGetter())
-		}
 	}
 	ctx.ws.survivors = survivors
 	if len(survivors) == 0 {
 		return
 	}
-	ctx.armDiag() // fresh dominance epoch: suppression never crosses families
 	switch ctx.e.opts.Mode {
 	case ModeHybrid:
 		ctx.hybridGram(node, gram, survivors)

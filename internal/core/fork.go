@@ -123,8 +123,8 @@ func (e *emitCtx) emit(i int, j int32, score int32) {
 }
 
 // flush drains the staged runs to the collector: occurrences are
-// resolved once, and each run goes through the dominance filter and
-// the block-batched AddRun (emit.go).
+// resolved once, and each run lands through the block-batched AddRun
+// (emit.go).
 func (e *emitCtx) flush() {
 	if e.stage.Empty() {
 		return

@@ -50,7 +50,7 @@ import (
 // cells — same scores, same columns, same occurrences — the previous
 // branch already emitted. The vertical phase skips those rows'
 // emissions (counting them as CopiedEmissions) instead of re-running
-// the occurrence fan-out, dominance filter and collector for provable
+// the occurrence fan-out and collector for provable
 // no-ops. descend raises the watermark of a level's pendings to the
 // level's depth after each fully-processed child edge; regions are
 // born with wm = 0.
@@ -117,8 +117,8 @@ type hybridState struct {
 
 	// memo[id] is region id's column run from its most recent vertical
 	// pass — the per-search region→columns memo. The arenas live for
-	// the whole fork family (reset in hybridGram, like the dominance
-	// table's epoch discipline), so a stored run stays addressable
+	// the whole fork family (reset in hybridGram), so a stored run
+	// stays addressable
 	// across verticals calls; when the region is recomputed on a later
 	// sibling branch, the rows it shares with the memoised pass — rows
 	// ≤ the emitted watermark — are loaded instead of recomputed
@@ -127,7 +127,7 @@ type hybridState struct {
 
 	// stage buffers the horizontal phase's emitted cells as row runs;
 	// flushEmits resolves each run's row occurrences (occAt) and
-	// forwards through the dominance filter. Rows reference descent
+	// forwards each to the collector. Rows reference descent
 	// frames, so the stage is drained before any truncation of
 	// hs.nodes (end of every child-edge iteration in descend, end of
 	// hybridGram).
@@ -247,8 +247,8 @@ func (hs *hybridState) emitRow(i int, j int32, score int32) {
 }
 
 // flushEmits drains the staged runs: one occurrence resolution per
-// distinct row (memoised on the descent frames), then the dominance
-// filter and batched AddRun per occurrence.
+// distinct row (memoised on the descent frames), then the batched
+// AddRun per occurrence.
 func (hs *hybridState) flushEmits() {
 	if hs.stage.Empty() {
 		return
@@ -298,7 +298,7 @@ func (hs *hybridState) emitVert(i int, j, score int32) {
 }
 
 // forwardVertRow fans row i's open run out over the row's occurrences
-// through the dominance filter. The caller owns the run bookkeeping.
+// into the collector. The caller owns the run bookkeeping.
 func (hs *hybridState) forwardVertRow(i int, r *vertRow) {
 	for _, t := range hs.occAt(i) {
 		hs.ctx.forwardRun(t+i-1, int(r.j0)-1, r.scores)

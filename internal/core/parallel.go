@@ -1,213 +1,153 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
+import "repro/internal/align"
 
-	"repro/internal/align"
-)
-
-// The parallel fork-family scheduler. A fork family — one distinct
-// q-gram of the query with its pre-resolved trie node and column set
-// (see resolve.go) — is the engine's natural unit of independent work:
+// The fork-family dispatcher. A fork family — one distinct q-gram of
+// the query with its pre-resolved trie node and column set (see
+// resolve.go) — is the engine's natural unit of independent work:
 // families never share traversal state, only the read-only index
 // structures (trie, domination index, query, δ table), and their
 // outputs combine through the collector's commutative max-merge and
-// additive statistics. Families vary wildly in cost (a family over a
-// frequent gram walks a much larger subtree), so the scheduler uses an
-// atomic work-stealing cursor over the sorted family list instead of
-// static striping: idle workers immediately pull the next family.
+// additive statistics. So every family runs exactly once on exactly
+// one lane, and hits and CalculatedEntries are byte-identical at every
+// lane count. Families vary wildly in cost (a family over a frequent
+// gram walks a much larger subtree), so lanes pull the next family
+// from one atomic cursor over the sorted family list instead of owning
+// static slices: an idle lane immediately steals the next family.
 //
-// Hit recording is sharded: each worker owns one open-addressing table
+// The lanes (context, statistics, workspace, collector shard) and the
+// cursor belong to the session and are re-armed per query. Lane 0 runs
+// on the caller; every other lane is handed to a process-wide helper
+// goroutine. Helpers are reused across searches and sessions: a
+// finished helper parks on its own work channel, and the dispatcher
+// hands a lane to a parked helper if there is one or starts a new
+// helper otherwise, so the pool grows to the peak concurrent lane
+// demand and a warm parallel search starts no goroutine.
+//
+// Hit recording is sharded: each lane owns one open-addressing table
 // of the session's ShardedCollector, so no Add ever contends, and the
 // shards merge into the caller's collector by table scan afterwards.
-// The shards (and the per-worker Stats) belong to the session and are
-// re-armed per query, so a serving session's parallel path reuses its
-// warm tables instead of allocating per search.
 
-// searchFamilies fans the pre-resolved fork families out over workers
-// goroutines and merges the per-worker collector shards and statistics
-// into c and st. base carries the search-shared context fields; each
-// lane copies it and fills in its own collector, stats and workspace.
-// st must already carry Threshold/Q/Lmax (plus the resolution-time
-// fork accounting).
-func (ses *Session) searchFamilies(families []gramFamily, base searchCtx, workers int, c *align.Collector, st *Stats) {
-	e := ses.e
-	if workers > len(families) {
-		workers = len(families)
-	}
-	if workers <= 1 {
-		// The sequential lane runs in the session-owned context, so a
-		// warm sequential search allocates nothing; the context is
-		// zeroed afterwards so a pooled idle session never pins the
-		// caller's collector or query.
-		ctx := &ses.ctx
-		*ctx = base
-		ctx.c, ctx.st, ctx.ws = c, st, ses.ws
-		for i := range families {
-			if ctx.stopped {
-				break // cancelled (cancel.go); SearchContext reports the error
-			}
-			ctx.processGram(&families[i])
-		}
-		ses.ws.scrub()
-		*ctx = searchCtx{}
-		return
-	}
-
-	if ses.shards == nil {
-		ses.shards = align.NewSharded(workers)
-	} else {
-		ses.shards.Resize(workers)
-	}
-	ses.shards.ResetAll()
-	if cap(ses.wstats) < workers {
-		ses.wstats = make([]Stats, workers)
-	}
-	wstats := ses.wstats[:workers]
-
-	var cursor atomic.Int64
-	ctxs := make([]*searchCtx, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		// Worker stats start from the search-level constants so the
-		// final Stats.Add merge preserves them.
-		wstats[w] = Stats{Threshold: st.Threshold, Q: st.Q, Lmax: st.Lmax}
-		ws := ses.ws
-		if w > 0 {
-			ws = e.getWorkspace() // extra lanes borrow pooled workspaces
-		}
-		ctx := base
-		ctx.c, ctx.st, ctx.ws = ses.shards.Shard(w), &wstats[w], ws
-		ctxs[w] = &ctx
-		wg.Add(1)
-		go func(ctx *searchCtx) {
-			defer wg.Done()
-			for {
-				if ctx.stopped {
-					return // cancelled (cancel.go); partial stats still merge
-				}
-				i := int(cursor.Add(1)) - 1
-				if i >= len(families) {
-					return
-				}
-				ctx.processGram(&families[i])
-			}
-		}(ctxs[w])
-	}
-	wg.Wait()
-	for w, ctx := range ctxs {
-		st.Add(*ctx.st)
-		ctx.ws.scrub()
-		if w > 0 {
-			e.putWorkspace(ctx.ws)
-		}
-	}
-	ses.shards.MergeInto(c, workers)
+// lane is one dispatch lane of a Session: a search context with its
+// own statistics, collector and workspace, draining the session's
+// family cursor.
+type lane struct {
+	ses *Session
+	ctx searchCtx
+	st  Stats
+	ws  *workspace
 }
 
-// familyCost estimates the band work a fork family will do: columns to
-// sweep times the width of the gram's SA range (the subtree the fork
-// descends into). It only steers load balancing — a wrong estimate
-// costs wall-clock, never exactness.
-func familyCost(f *gramFamily) int64 {
-	return int64(len(f.cols)) * int64(f.node.Hi-f.node.Lo)
+// drain processes families off the session's cursor until the list is
+// exhausted or the search is cancelled (cancel.go; the caller reports
+// the error, and the partial statistics still merge).
+func (l *lane) drain() {
+	fams := l.ses.fams
+	for !l.ctx.stopped {
+		i := int(l.ses.cursor.Add(1)) - 1
+		if i >= len(fams) {
+			return
+		}
+		l.ctx.processGram(&fams[i])
+	}
 }
 
-// partitionFamilies cuts the family list into k contiguous slices
-// balanced by estimated band cost: cuts[w] is the first family of lane
-// w, cuts[k] = len(families). Greedy with a half-family overshoot rule
-// — a family joins the current lane while that lands the lane closer
-// to the remaining average — while always leaving at least one family
-// for every remaining lane. Callers clamp k ≤ len(families), so every
-// lane is non-empty. The cuts depend only on the family list (which is
-// resolution-order deterministic), never on timing, so a sliced search
-// is reproducible.
-func partitionFamilies(families []gramFamily, k int) []int {
-	var remaining int64
-	for i := range families {
-		remaining += familyCost(&families[i])
+// maxIdleHelpers bounds the parked helper pool. It sits far above any
+// realistic concurrent lane demand (concurrent searches × lanes, with
+// lanes defaulting to the CPU count), so it never caps a workload; it
+// only keeps a pathological burst from parking goroutines without
+// limit. A helper finishing while the pool is full exits instead of
+// parking. Parked helpers live for the process, blocked on their work
+// channel.
+const maxIdleHelpers = 1024
+
+// idleHelpers holds the work channels of parked helpers. A helper
+// parks BEFORE it signals its lane done, so by the time a search's
+// WaitGroup releases the caller every helper of that search is
+// available to the next one.
+var idleHelpers = make(chan chan *lane, maxIdleHelpers)
+
+// handOff runs l on a parked helper, or on a new one when none is idle.
+func handOff(l *lane) {
+	select {
+	case work := <-idleHelpers:
+		work <- l // buffered: the helper parked with an empty channel
+	default:
+		go helper(make(chan *lane, 1), l)
 	}
-	cuts := make([]int, k+1)
-	cuts[k] = len(families)
-	idx := 0
-	for w := 0; w < k; w++ {
-		cuts[w] = idx
-		target := remaining / int64(k-w)
-		maxEnd := len(families) - (k - w - 1)
-		var acc int64
-		for idx < maxEnd && (idx == cuts[w] || acc+familyCost(&families[idx])/2 <= target) {
-			acc += familyCost(&families[idx])
-			idx++
-		}
-		remaining -= acc
-	}
-	return cuts
 }
 
-// searchFamilySlices is the shared-index scatter's dispatch: the same
-// fan-out as searchFamilies, but each lane owns one pre-cut contiguous
-// family slice (partitionFamilies) instead of pulling from a
-// work-stealing cursor. The store's shard lanes run through here — K
-// shards of a store are K slices of ONE resolved family list over one
-// monolithic index, so every family (and with it every DP entry) is
-// processed exactly once whatever K is: CalculatedEntries and the hit
-// set are byte-identical across lane counts, which is the invariant
-// the old text-partitioned sharding could not offer (it redid ~1.7×
-// the entries at K=4). Static slices also keep each lane's traversal
-// order deterministic, at the price of coarser balancing than
-// stealing — the cost model above is what pays that back.
-func (ses *Session) searchFamilySlices(families []gramFamily, base searchCtx, lanes int, c *align.Collector, st *Stats) {
-	e := ses.e
-	if lanes > len(families) {
-		lanes = len(families)
-	}
-	if lanes <= 1 {
-		ses.searchFamilies(families, base, 1, c, st)
-		return
-	}
-	cuts := partitionFamilies(families, lanes)
-
-	if ses.shards == nil {
-		ses.shards = align.NewSharded(lanes)
-	} else {
-		ses.shards.Resize(lanes)
-	}
-	ses.shards.ResetAll()
-	if cap(ses.wstats) < lanes {
-		ses.wstats = make([]Stats, lanes)
-	}
-	wstats := ses.wstats[:lanes]
-
-	ctxs := make([]*searchCtx, lanes)
-	var wg sync.WaitGroup
-	for w := 0; w < lanes; w++ {
-		wstats[w] = Stats{Threshold: st.Threshold, Q: st.Q, Lmax: st.Lmax}
-		ws := ses.ws
-		if w > 0 {
-			ws = e.getWorkspace()
+// helper drains the lanes it is handed, parking on work in between.
+func helper(work chan *lane, l *lane) {
+	for {
+		l.drain()
+		wg := &l.ses.wg // l belongs to its session again after Done
+		select {
+		case idleHelpers <- work:
+			wg.Done()
+		default:
+			wg.Done()
+			return
 		}
-		ctx := base
-		ctx.c, ctx.st, ctx.ws = ses.shards.Shard(w), &wstats[w], ws
-		ctxs[w] = &ctx
-		wg.Add(1)
-		go func(ctx *searchCtx, fams []gramFamily) {
-			defer wg.Done()
-			for i := range fams {
-				if ctx.stopped {
-					return // cancelled (cancel.go); partial stats still merge
-				}
-				ctx.processGram(&fams[i])
-			}
-		}(ctxs[w], families[cuts[w]:cuts[w+1]])
+		l = <-work
 	}
-	wg.Wait()
-	for w, ctx := range ctxs {
-		st.Add(*ctx.st)
-		ctx.ws.scrub()
-		if w > 0 {
-			e.putWorkspace(ctx.ws)
+}
+
+// dispatch runs the session's resolved fork families (ses.fams) on up
+// to n lanes and merges their hits into c and their statistics into
+// st. base carries the search-shared context fields; each lane copies
+// it and fills in its own collector, stats and workspace. st must
+// already carry Threshold/Q/Lmax (plus the resolution-time fork
+// accounting). A single lane records straight into c and st, so a warm
+// sequential search allocates nothing.
+func (ses *Session) dispatch(base searchCtx, n int, c *align.Collector, st *Stats) {
+	n = min(n, len(ses.fams))
+	if len(ses.lanes) < n {
+		ses.lanes = append(ses.lanes, make([]lane, n-len(ses.lanes))...)
+	}
+	lanes := ses.lanes[:n]
+	if n > 1 {
+		if ses.shards == nil {
+			ses.shards = align.NewSharded(n)
+		} else {
+			ses.shards.Resize(n)
+		}
+		ses.shards.ResetAll()
+	}
+	for w := range lanes {
+		l := &lanes[w]
+		if l.ws == nil {
+			l.ws = &workspace{}
+		}
+		l.ses, l.ctx = ses, base
+		l.ctx.ws = l.ws
+		if n == 1 {
+			l.ctx.c, l.ctx.st = c, st
+		} else {
+			// Lane stats start from the search-level constants so the
+			// final Stats.Add merge preserves them.
+			l.st = Stats{Threshold: st.Threshold, Q: st.Q, Lmax: st.Lmax}
+			l.ctx.c, l.ctx.st = ses.shards.Shard(w), &l.st
 		}
 	}
-	ses.shards.MergeInto(c, lanes)
+	ses.cursor.Store(0)
+	ses.wg.Add(n - 1)
+	for w := 1; w < n; w++ {
+		handOff(&lanes[w])
+	}
+	lanes[0].drain()
+	ses.wg.Wait()
+	for w := range lanes {
+		l := &lanes[w]
+		if n > 1 {
+			st.Add(l.st)
+		}
+		l.ws.scrub()
+		// A pooled idle session must not pin the caller's collector or
+		// query.
+		l.ctx = searchCtx{}
+	}
+	if n > 1 {
+		ses.shards.MergeInto(c, n)
+	}
 }

@@ -40,8 +40,7 @@ type gramFamily struct {
 // prefix-shared pass otherwise — and returns the present families in
 // lexicographic gram order. ForksConsidered/ForksAbsent accounting for
 // the pruned grams lands in st (identically on cache hits and misses);
-// the per-family filters (domination, G-matrix) still run at
-// processing time.
+// the per-family domination filter still runs at processing time.
 func (ses *Session) resolveFamilies(qidx *qgram.Index, st *Stats) []gramFamily {
 	e := ses.e
 	q := qidx.Q()

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/align"
 	"repro/internal/domination"
@@ -15,11 +17,11 @@ import (
 // inverted index of the query (an open-addressing gram table re-armed
 // in place — qgram.Index.Rearm), the δ score table, the Theorem 2
 // bound tables, the resolved fork families with their backing gram
-// buffer, the traversal workspace, the search context and statistics,
-// and (for parallel searches) the per-worker collector shards. A
-// session is re-armed in place for each query, so in a serving loop —
-// one index answering query after query — a warm sequential Search
-// performs zero allocations end to end (TestSessionSearchAllocFree).
+// buffer, the statistics, and the dispatch lanes with their traversal
+// workspaces and collector shards (parallel.go). A session is re-armed
+// in place for each query, so in a serving loop — one index answering
+// query after query — a warm sequential Search performs zero
+// allocations end to end (TestSessionSearchAllocFree).
 //
 // A Session is NOT safe for concurrent use: it is one serving lane.
 // Concurrency comes from running many sessions against the shared
@@ -42,18 +44,15 @@ type Session struct {
 	gcQ     int
 	gcValid bool
 
-	ws *workspace // the sequential (and worker-0) traversal workspace
-
-	// stats and ctx back the sequential search path: keeping them on
-	// the session (instead of stack variables whose addresses escape
-	// into the context) is what lets a warm Session.Search run without
-	// a single allocation — see TestSessionSearchAllocFree.
-	stats Stats
-	ctx   searchCtx
-
-	// Parallel-search state, sized to the widest search seen.
+	// The dispatch state (parallel.go), sized to the widest search
+	// seen. Keeping it and the statistics on the session (instead of
+	// stack variables whose addresses escape into the lanes) is what
+	// lets a warm search run without allocating per lane.
+	stats  Stats
+	lanes  []lane
+	cursor atomic.Int64
+	wg     sync.WaitGroup
 	shards *align.ShardedCollector
-	wstats []Stats
 }
 
 // errQueryTooShort is the shared diagnostic for queries the q-gram
@@ -93,7 +92,7 @@ func (e *Engine) AcquireSession() *Session {
 	if s, ok := e.sessPool.Get().(*Session); ok {
 		return s
 	}
-	return &Session{e: e, ws: e.getWorkspace()}
+	return &Session{e: e}
 }
 
 // Release returns the session to the engine's pool.
@@ -105,48 +104,32 @@ func (ses *Session) Engine() *Engine { return ses.e }
 // Search runs one query through the session; see Engine.SearchParallel
 // for the contract. The session's buffers are re-armed in place, the
 // engine's shared structures are only read, and hits land in c. In
-// steady state — a warm session answering a repeated query shape
-// sequentially — the whole path performs zero allocations
-// (TestSessionSearchAllocFree); only the parallel fan-out allocates
-// its worker contexts and goroutines.
+// steady state — a warm session answering a repeated query shape — the
+// sequential path performs zero allocations
+// (TestSessionSearchAllocFree), and the parallel path reuses the
+// session's lanes and the process-wide helper goroutines.
 func (ses *Session) Search(query []byte, s align.Scheme, h int, c *align.Collector, workers int) (Stats, error) {
-	return ses.SearchContext(context.Background(), query, s, h, c, workers)
+	return ses.SearchLanes(context.Background(), query, s, h, c, workers)
 }
 
-// SearchContext is Search under a context: the traversal loops poll
-// cx's done channel at entry-budget checkpoints (cancel.go), so a
-// deadline or cancellation aborts a running search within a bounded
-// number of calculated entries per worker. On cancellation the
-// context's error is returned, the partial statistics describe the
-// work actually done, and the collector holds a partial (meaningless)
-// hit set the caller must discard; the session itself remains fully
-// reusable — the next Search re-arms it exactly as after a completed
-// query. A background (non-cancellable) context adds no per-entry
-// overhead: the done channel is nil and every checkpoint is one field
-// read.
-func (ses *Session) SearchContext(cx context.Context, query []byte, s align.Scheme, h int, c *align.Collector, workers int) (Stats, error) {
-	return ses.searchImpl(cx, query, s, h, c, workers, false)
-}
-
-// SearchLanes is SearchContext with the family-slice dispatch: the
-// resolved fork families are cut into lanes contiguous slices balanced
-// by estimated band cost (partitionFamilies) and each slice runs on
-// its own goroutine with its own workspace and collector shard. This
-// is the store's shared-index scatter seam — one gram resolution, one
-// monolithic index, K lanes of work — and its exactness contract is
-// that CalculatedEntries and the hit set are byte-identical for every
-// lanes value, including lanes = 1 (the sequential path). lanes ≤ 0
-// defaults to runtime.NumCPU().
+// SearchLanes is Search under a context, with the resolved fork
+// families dispatched across up to lanes lanes (parallel.go); lanes ≤ 0
+// defaults to runtime.NumCPU(). Its exactness contract is that
+// CalculatedEntries and the hit set are byte-identical for every lanes
+// value, including lanes = 1 (the sequential path): each family runs
+// exactly once, on exactly one lane.
+//
+// The traversal loops poll cx's done channel at entry-budget
+// checkpoints (cancel.go), so a deadline or cancellation aborts a
+// running search within a bounded number of calculated entries per
+// lane. On cancellation the context's error is returned, the partial
+// statistics describe the work actually done, and the collector holds
+// a partial (meaningless) hit set the caller must discard; the session
+// itself remains fully reusable — the next search re-arms it exactly
+// as after a completed query. A background (non-cancellable) context
+// adds no per-entry overhead: the done channel is nil and every
+// checkpoint is one field read.
 func (ses *Session) SearchLanes(cx context.Context, query []byte, s align.Scheme, h int, c *align.Collector, lanes int) (Stats, error) {
-	return ses.searchImpl(cx, query, s, h, c, lanes, true)
-}
-
-// searchImpl is the shared body of SearchContext and SearchLanes:
-// everything up to family dispatch is identical — validation,
-// threshold floor, gram resolution, δ and bound tables — and sliced
-// selects the dispatch (cost-balanced contiguous slices vs the
-// work-stealing cursor).
-func (ses *Session) searchImpl(cx context.Context, query []byte, s align.Scheme, h int, c *align.Collector, workers int, sliced bool) (Stats, error) {
 	e := ses.e
 	if err := s.Validate(); err != nil {
 		return Stats{}, err
@@ -184,20 +167,12 @@ func (ses *Session) searchImpl(cx context.Context, query []byte, s align.Scheme,
 			return *st, err
 		}
 	}
-	var gm *gMatrix
-	if e.opts.EnableGMatrix {
-		gm, err = newGMatrix(e.trie.Index().Len(), m, e.opts.GMatrixMaxBytes)
-		if err != nil {
-			return *st, err
-		}
-	}
 
 	// Resolve every distinct gram — against the cross-query cache where
 	// warm, by one prefix-shared trie pass otherwise (see resolve.go);
 	// absent grams die here, so the scheduler and the per-family filters
 	// only ever see live trie nodes.
-	families := ses.resolveFamilies(&ses.qidx, st)
-	if len(families) == 0 {
+	if len(ses.resolveFamilies(&ses.qidx, st)) == 0 {
 		return *st, nil
 	}
 	// The δ(edge letter, query column) score table: the inner sweeps
@@ -217,21 +192,13 @@ func (ses *Session) searchImpl(cx context.Context, query []byte, s align.Scheme,
 		delta:    ses.delta,
 		colBound: ses.colBound,
 		dom:      dom,
-		gm:       gm,
 		barrier:  barrierCode(e.trie.Letters(), e.opts.BarrierByte),
 		done:     cx.Done(), // nil for background contexts: checkpoints are free
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+	if lanes <= 0 {
+		lanes = runtime.NumCPU()
 	}
-	if gm != nil {
-		workers = 1 // the G-matrix filter's state is traversal-order-dependent
-	}
-	if sliced {
-		ses.searchFamilySlices(families, base, workers, c, st)
-	} else {
-		ses.searchFamilies(families, base, workers, c, st)
-	}
+	ses.dispatch(base, lanes, c, st)
 	if err := cx.Err(); err != nil {
 		return *st, err
 	}

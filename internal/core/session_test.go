@@ -240,8 +240,8 @@ func TestSessionSearchAllocFree(t *testing.T) {
 	query := seq.Mutate(seq.DNA, text[2_000:2_300],
 		seq.MutationConfig{SubstitutionRate: 0.05, IndelRate: 0.01}, rng)
 	// A repeat-dense workload keeps the emission path hot: large
-	// occurrence fan-out, run staging overflows and dominance-filter
-	// traffic every query, so the gate also covers the two-level
+	// occurrence fan-out and run staging overflows every query, so the
+	// gate also covers the two-level
 	// collector's steady state.
 	emitText, emitQuery := emitWorkload(seq.DNA, 20_000, 300, 507)
 	s := align.DefaultDNA

@@ -17,11 +17,10 @@ type Stats struct {
 	EntriesInterior int64 // calculated gap-region interior entries (cost 3)
 	ReusedEntries   int64 // entries copied from previous forks (§4)
 
-	ForksConsidered      int64 // q-gram matches examined
-	ForksAbsent          int64 // pruned: q-prefix absent from the text (Theorem 3)
-	ForksDominated       int64 // pruned: q-prefix domination (Lemma 1)
-	ForksGMatrixFiltered int64 // pruned: boolean-matrix global filter (Theorem 4)
-	ForksStarted         int64 // forks that produced a fork area
+	ForksConsidered int64 // q-gram matches examined
+	ForksAbsent     int64 // pruned: q-prefix absent from the text (Theorem 3)
+	ForksDominated  int64 // pruned: q-prefix domination (Lemma 1)
+	ForksStarted    int64 // forks that produced a fork area
 
 	GramCacheHits   int64 // distinct grams resolved from the cross-query cache
 	GramCacheMisses int64 // distinct grams resolved by trie walk (and published)
@@ -41,17 +40,14 @@ type Stats struct {
 
 	// Emission-path accounting (emit.go, hybrid.go). EmittedHits counts
 	// the occurrence-resolved (tEnd, qEnd) cells forwarded to the
-	// collector; SuppressedEmissions counts the cells the diagonal
-	// dominance filter dropped as provable collector no-ops;
-	// CopiedEmissions counts the cells the hybrid vertical phase
-	// skipped because an earlier sibling branch already forwarded the
-	// identical cell (the emitted watermark, hybrid.go). Their sum is
-	// the total emission fan-out, and all three are invariant under
-	// parallel scheduling (the dominance filter is re-armed and the
-	// watermark is path-structured per fork family).
-	EmittedHits         int64
-	SuppressedEmissions int64
-	CopiedEmissions     int64
+	// collector; CopiedEmissions counts the cells the hybrid vertical
+	// phase skipped because an earlier sibling branch already forwarded
+	// the identical cell (the emitted watermark, hybrid.go). Their sum
+	// is the total emission fan-out, and both are invariant under
+	// parallel scheduling (the watermark is path-structured per fork
+	// family).
+	EmittedHits     int64
+	CopiedEmissions int64
 }
 
 // CalculatedEntries is the number of DP cells ALAE actually computed
@@ -91,13 +87,11 @@ func (st *Stats) Add(other Stats) {
 	st.ForksConsidered += other.ForksConsidered
 	st.ForksAbsent += other.ForksAbsent
 	st.ForksDominated += other.ForksDominated
-	st.ForksGMatrixFiltered += other.ForksGMatrixFiltered
 	st.ForksStarted += other.ForksStarted
 	st.GramCacheHits += other.GramCacheHits
 	st.GramCacheMisses += other.GramCacheMisses
 	st.NodesVisited += other.NodesVisited
 	st.EmittedHits += other.EmittedHits
-	st.SuppressedEmissions += other.SuppressedEmissions
 	st.CopiedEmissions += other.CopiedEmissions
 	if other.MaxDepth > st.MaxDepth {
 		st.MaxDepth = other.MaxDepth

@@ -158,7 +158,6 @@ func Measure(ix *alae.Index, w Workload, opts alae.SearchOptions) Measurement {
 		m.Stats.ForksDominated += res.Stats.ForksDominated
 		m.Stats.Seeds += res.Stats.Seeds
 		m.Stats.EmittedHits += res.Stats.EmittedHits
-		m.Stats.SuppressedEmissions += res.Stats.SuppressedEmissions
 		m.Stats.CopiedEmissions += res.Stats.CopiedEmissions
 	}
 	if len(w.Queries) > 0 {

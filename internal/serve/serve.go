@@ -156,12 +156,10 @@ type Server struct {
 	nErrors         atomic.Int64 // other 500s
 
 	// Emission-path totals across answered searches: cells forwarded to
-	// the collectors, duplicates the dominance filter suppressed, and
-	// cells the hybrid vertical phase skipped as already forwarded by an
-	// earlier branch (copy reuse).
-	nEmitted    atomic.Int64
-	nSuppressed atomic.Int64
-	nCopied     atomic.Int64
+	// the collectors, and cells the hybrid vertical phase skipped as
+	// already forwarded by an earlier branch (copy reuse).
+	nEmitted atomic.Int64
+	nCopied  atomic.Int64
 
 	hooks serveHooks
 }
@@ -616,7 +614,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nOK.Add(1)
 	s.nEmitted.Add(res.Stats.EmittedHits)
-	s.nSuppressed.Add(res.Stats.SuppressedEmissions)
 	s.nCopied.Add(res.Stats.CopiedEmissions)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(&resp)
@@ -654,9 +651,8 @@ type StatsResponse struct {
 	Panics         int64 `json:"panics"`
 	Errors         int64 `json:"errors"`
 
-	EmittedHits         int64 `json:"emitted_hits"`
-	SuppressedEmissions int64 `json:"suppressed_emissions"`
-	CopiedEmissions     int64 `json:"copied_emissions"`
+	EmittedHits     int64 `json:"emitted_hits"`
+	CopiedEmissions int64 `json:"copied_emissions"`
 
 	StoreMembers     int    `json:"store_members"`
 	StoreShards      int    `json:"store_shards"` // scatter lanes per search (a parallelism knob, not a data partition)
@@ -694,9 +690,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Panics:         s.nPanics.Load(),
 		Errors:         s.nErrors.Load(),
 
-		EmittedHits:         s.nEmitted.Load(),
-		SuppressedEmissions: s.nSuppressed.Load(),
-		CopiedEmissions:     s.nCopied.Load(),
+		EmittedHits:     s.nEmitted.Load(),
+		CopiedEmissions: s.nCopied.Load(),
 
 		StoreMembers:     st.Sequences().Len(),
 		StoreShards:      st.Shards(),

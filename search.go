@@ -182,36 +182,62 @@ var searchAllStarted func(qi int)
 // the workers, so repeated or overlapping queries resolve their hot
 // grams by hash probe.
 func (ix *Index) SearchAll(queries [][]byte, opts SearchOptions, workers int) ([]*Result, error) {
-	if workers <= 0 {
-		workers = 8
-	}
-	workers = min(workers, len(queries))
-	if workers == 0 {
+	if len(queries) == 0 {
 		return nil, nil
 	}
 	// Warm the shared lazy structures (domination index, engine
 	// caches) once so workers don't race to build them redundantly.
-	if len(queries) > 0 {
-		s := opts.Scheme
-		if s == (Scheme{}) {
-			s = DefaultDNAScheme
-		}
-		if opts.Algorithm == ALAE || opts.Algorithm == ALAEHybrid {
-			if _, err := ix.DominationIndexSize(s); err != nil {
-				return nil, err
-			}
+	s := opts.Scheme
+	if s == (Scheme{}) {
+		s = DefaultDNAScheme
+	}
+	if opts.Algorithm == ALAE || opts.Algorithm == ALAEHybrid {
+		if _, err := ix.DominationIndexSize(s); err != nil {
+			return nil, err
 		}
 	}
-	results := make([]*Result, len(queries))
-	errs := make([]error, len(queries))
+	results, qi, err := runQueries(len(queries), workers, func() (func(int) (*Result, error), func(), error) {
+		ses, err := ix.OpenSession(opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		search := func(qi int) (*Result, error) {
+			if searchAllStarted != nil {
+				searchAllStarted(qi)
+			}
+			return ses.Search(queries[qi])
+		}
+		return search, ses.Close, nil
+	})
+	if err != nil && qi < len(queries) {
+		return nil, fmt.Errorf("alae: query %d: %w", qi, err)
+	}
+	return results, err
+}
+
+// runQueries is the worker pool behind Index.SearchAll and
+// Store.SearchAllContext: workers goroutines (0 means one per query up
+// to 8) claim query indexes from an atomic cursor in ascending order.
+// open is called once per worker and returns that worker's search
+// function and its release. The first failure stops unstarted queries
+// from launching; on failure, results is nil and err is the error of
+// the lowest failing query index qi, or — qi = n — a configuration
+// error from open, which no query owns.
+func runQueries[R any](n, workers int, open func() (search func(qi int) (R, error), release func(), err error)) (results []R, qi int, err error) {
+	if workers <= 0 {
+		workers = 8
+	}
+	workers = min(workers, n)
+	results = make([]R, n)
+	errs := make([]error, n)
 	var (
 		wg       sync.WaitGroup
 		cursor   atomic.Int64
-		failedAt atomic.Int64 // lowest failing query index; len(queries) = none
+		failedAt atomic.Int64 // lowest failing query index; n = none
 		openOnce sync.Once
 		openErr  error // configuration error, when no query owns one
 	)
-	failedAt.Store(int64(len(queries)))
+	failedAt.Store(int64(n))
 	// markFailed CAS-min's qi into failedAt. errs[qi] must be written
 	// before the call; wg.Wait() publishes both to the final read.
 	markFailed := func(qi int) {
@@ -226,7 +252,7 @@ func (ix *Index) SearchAll(queries [][]byte, opts SearchOptions, workers int) ([
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ses, err := ix.OpenSession(opts)
+			search, release, err := open()
 			if err != nil {
 				// Configuration errors apply to every query, not any
 				// particular one: keep the error in its own slot (so it
@@ -236,23 +262,16 @@ func (ix *Index) SearchAll(queries [][]byte, opts SearchOptions, workers int) ([
 				// the CAS-min and is reported instead.
 				openOnce.Do(func() { openErr = err })
 				qi := int(cursor.Add(1)) - 1
-				markFailed(min(qi, len(queries)-1))
+				markFailed(min(qi, n-1))
 				return
 			}
-			defer ses.Close()
-			for {
-				if failedAt.Load() < int64(len(queries)) {
-					return
-				}
+			defer release()
+			for failedAt.Load() == int64(n) {
 				qi := int(cursor.Add(1)) - 1
-				if qi >= len(queries) {
+				if qi >= n {
 					return
 				}
-				if searchAllStarted != nil {
-					searchAllStarted(qi)
-				}
-				results[qi], errs[qi] = ses.Search(queries[qi])
-				if errs[qi] != nil {
+				if results[qi], errs[qi] = search(qi); errs[qi] != nil {
 					markFailed(qi)
 					return
 				}
@@ -260,13 +279,12 @@ func (ix *Index) SearchAll(queries [][]byte, opts SearchOptions, workers int) ([
 		}()
 	}
 	wg.Wait()
-	if fa := int(failedAt.Load()); fa < len(queries) {
+	if fa := int(failedAt.Load()); fa < n {
 		if errs[fa] != nil {
-			return nil, fmt.Errorf("alae: query %d: %w", fa, errs[fa])
+			return nil, fa, errs[fa]
 		}
-		// The failure mark came from a configuration error, which no
-		// query owns; report it unwrapped.
-		return nil, openErr
+		// The failure mark came from a configuration error.
+		return nil, n, openErr
 	}
-	return results, nil
+	return results, n, nil
 }

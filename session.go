@@ -114,7 +114,7 @@ func (ses *Session) searchThreshold(cx context.Context, query []byte, h int) (*R
 		return ses.ix.SearchContext(cx, query, o)
 	}
 	ses.coll.Reset()
-	st, err := ses.cs.SearchContext(cx, query, ses.s, h, ses.coll, ses.opts.Parallelism)
+	st, err := ses.cs.SearchLanes(cx, query, ses.s, h, ses.coll, ses.opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -127,8 +127,8 @@ func (ses *Session) searchThreshold(cx context.Context, query []byte, h int) (*R
 }
 
 // searchCollect is the store's collector-resident search: one query at
-// a pinned threshold, dispatched across lanes cost-balanced family
-// slices of the shared index (core.Session.SearchLanes), with the hits
+// a pinned threshold, dispatched across lanes work-stealing lanes over
+// the shared index's fork families (core.Session.SearchLanes), with the hits
 // left IN the session's collector for the caller to stream (see
 // align.Collector.ForEach) instead of materialised into a sorted
 // Result.Hits slice. This is what makes the store's gather streaming:
@@ -168,17 +168,16 @@ func (ses *Session) Close() {
 // Stats shape.
 func statsFromCore(st core.Stats) Stats {
 	return Stats{
-		CalculatedEntries:   st.CalculatedEntries(),
-		ReusedEntries:       st.ReusedEntries,
-		AccessedEntries:     st.AccessedEntries(),
-		ComputationCost:     st.ComputationCost(),
-		NodesVisited:        st.NodesVisited,
-		ForksStarted:        st.ForksStarted,
-		ForksDominated:      st.ForksDominated,
-		GramCacheHits:       st.GramCacheHits,
-		GramCacheMisses:     st.GramCacheMisses,
-		EmittedHits:         st.EmittedHits,
-		SuppressedEmissions: st.SuppressedEmissions,
-		CopiedEmissions:     st.CopiedEmissions,
+		CalculatedEntries: st.CalculatedEntries(),
+		ReusedEntries:     st.ReusedEntries,
+		AccessedEntries:   st.AccessedEntries(),
+		ComputationCost:   st.ComputationCost(),
+		NodesVisited:      st.NodesVisited,
+		ForksStarted:      st.ForksStarted,
+		ForksDominated:    st.ForksDominated,
+		GramCacheHits:     st.GramCacheHits,
+		GramCacheMisses:   st.GramCacheMisses,
+		EmittedHits:       st.EmittedHits,
+		CopiedEmissions:   st.CopiedEmissions,
 	}
 }

@@ -19,9 +19,9 @@ import (
 // separator-framed concatenation and serves searches by a shared-index
 // scatter-gather: the query's grams are resolved ONCE against each
 // generation's trie, the resolved fork families are dispatched across
-// K work lanes (contiguous family slices load-balanced by estimated
-// band cost — see core.Session.SearchLanes), every lane runs at the
-// threshold of the whole database, and the gather streams each
+// K work-stealing lanes over one family list (see
+// core.Session.SearchLanes), every lane runs at the threshold of the
+// whole database, and the gather streams each
 // generation's collector table straight into per-member SeqHit buckets
 // — rejecting hits ending on separator rows and hits inside tombstoned
 // members — with no intermediate per-shard sorted hit slice. K is
@@ -122,7 +122,7 @@ type Store struct {
 	mutMu     sync.Mutex // serialises mutations and their persistence
 	dir       string     // backing directory; "" = memory-only
 	nextGenID uint64
-	k         int // K: family-slice lanes per generation search
+	k         int // K: dispatch lanes per generation search
 }
 
 // NewStore builds one monolithic index over the records'

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -469,18 +470,20 @@ func TestStoreManifestRoundTrip(t *testing.T) {
 	if _, err := LoadStore(bytes.NewReader(bad), StoreOptions{}); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad magic accepted (err=%v)", err)
 	}
-	bad = append([]byte(nil), saved...)
-	bad[8] = 99 // version field
-	if _, err := LoadStore(bytes.NewReader(bad), StoreOptions{}); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("bad version accepted (err=%v)", err)
+	for _, version := range []byte{99, 2} { // unknown; legacy per-shard layout
+		bad = append([]byte(nil), saved...)
+		bad[8] = version // version field
+		if _, err := LoadStore(bytes.NewReader(bad), StoreOptions{}); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("store version %d accepted (err=%v)", version, err)
+		}
 	}
 	if _, err := LoadStore(bytes.NewReader(saved[:len(saved)/2]), StoreOptions{}); err == nil {
 		t.Fatal("truncated store accepted")
 	}
 	// A hostile member length (the first member's seqLen field sits
-	// after magic+version+stamp+genCount+genID+memberCount+nameLen+name
-	// in the v2 layout) must be rejected by the plausibility bounds,
-	// not answered with a giant allocation.
+	// after magic+version+stamp+genCount+genID+memberCount+nameLen+name)
+	// must be rejected by the plausibility bounds, not answered with a
+	// giant allocation.
 	bad = append([]byte(nil), saved...)
 	off := 8 + 4 + 8 + 8 + 8 + 8 + 8 + len(st.Sequences().Name(0))
 	for i := 0; i < 8; i++ {
@@ -816,41 +819,59 @@ func TestStoreSearchAllStopsAfterError(t *testing.T) {
 // StoreSession search materialises ONE hit slice — the caller's
 // StoreResult.Hits — with no per-lane intermediate Result.Hits in
 // between. The per-lane collectors stream straight into the session's
-// retained member buckets, so the steady-state allocation count is a
-// small constant independent of how many hits the query produces.
+// retained member buckets, and the dispatch lanes live on the session
+// and run on reused helper goroutines, so the steady-state allocation
+// count is a small constant independent of how many hits the query
+// produces and of the lane count.
 func TestStoreGatherAllocBound(t *testing.T) {
 	wl := buildStoreWorkload(seq.DNA, 5, 3000, 400, 714)
 	st, err := NewStore(wl.records, StoreOptions{QueryCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := st.OpenSession(SearchOptions{Threshold: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
 	query := wl.queries[0]
-	var hits int
-	for warm := 0; warm < 3; warm++ {
-		res, err := ss.Search(query)
+	for _, lanes := range []int{1, 2, 4} {
+		ss, err := st.OpenSession(SearchOptions{Threshold: 60, Parallelism: lanes})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits = len(res.Hits)
-	}
-	if hits == 0 {
-		t.Fatal("workload produced no hits; the test is vacuous")
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := ss.Search(query); err != nil {
-			t.Fatal(err)
+		var hits int
+		for warm := 0; warm < 2; warm++ {
+			res, err := ss.Search(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits = len(res.Hits)
 		}
-	})
-	// Budget: the StoreResult, its Hits backing array, and the handful
-	// of fixed-size boxes the scatter/gather plumbing needs. Anything
-	// scaling with hit count or lane count would blow far past this.
-	const budget = 8
-	if allocs > budget {
-		t.Fatalf("warm StoreSession.Search allocated %.1f objects per query (budget %d): the gather is materialising intermediates", allocs, budget)
+		if hits == 0 {
+			t.Fatal("workload produced no hits; the test is vacuous")
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := ss.Search(query); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Budget: the StoreResult, its Hits backing array, and the
+		// handful of fixed-size boxes the scatter/gather plumbing needs.
+		// Anything scaling with hit count or lane count would blow far
+		// past this.
+		const budget = 8
+		if allocs > budget {
+			t.Fatalf("parallelism %d: warm StoreSession.Search allocated %.1f objects per query (budget %d): the gather is materialising intermediates or the lanes are rebuilt per search", lanes, allocs, budget)
+		}
+		// Warm searches reuse the parked lane helpers: starting one
+		// per search would grow the goroutine count. A short prefix of
+		// the query keeps the 50 searches cheap; it still resolves far
+		// more fork families than there are lanes.
+		before := runtime.NumGoroutine()
+		for i := 0; i < 50; i++ {
+			if _, err := ss.Search(query[:100]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("parallelism %d: goroutines grew from %d to %d over 50 warm searches; lane helpers are leaking", lanes, before, after)
+		}
+		ss.Close()
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/seq"
 )
@@ -29,9 +28,9 @@ func validateStoreQuery(query []byte) error {
 
 // storeLane is one scatter lane of a StoreSession: a Session over one
 // generation's monolithic index. The K-way parallelism WITHIN a lane
-// comes from the family-slice dispatch (core.Session.SearchLanes), not
+// comes from the fork-family dispatcher (core.Session.SearchLanes), not
 // from more lanes: the query's grams are resolved once per generation,
-// and the resolved families are cut into K cost-balanced slices.
+// and K work-stealing lanes drain the resolved families.
 type storeLane struct {
 	gen  int // index into the bound view's generation list
 	ix   *Index
@@ -149,7 +148,7 @@ func (ss *StoreSession) syncView() error {
 // threshold is resolved once against the WHOLE live store (length and
 // alphabet of the live virtual concatenation); each generation
 // resolves the query's grams ONCE against its monolithic index and
-// dispatches the resolved fork families across K cost-balanced lanes
+// dispatches the resolved fork families across K work-stealing lanes
 // at that same H; and the gather streams every generation's collector
 // table straight into per-member SeqHit buckets — dropping hits that
 // end on separator rows, inside tombstoned members, or whose score
@@ -187,8 +186,8 @@ func (ss *StoreSession) SearchContext(cx context.Context, query []byte) (*StoreR
 	return ss.searchCurrent(cx, query)
 }
 
-// laneWorkers is the family-slice fan-out each generation search runs
-// at: the store's K when set above 1, else the engine-level
+// laneWorkers is the lane count each generation search runs at: the
+// store's K when set above 1, else the engine-level
 // SearchOptions.Parallelism (which keeps the pre-refactor behaviour
 // for unsharded stores, including its 0 = NumCPU default).
 func (ss *StoreSession) laneWorkers() int {
@@ -360,11 +359,7 @@ func (st *Store) SearchAll(queries [][]byte, opts SearchOptions, workers int) ([
 // launching, and returns the context's own error (result slots of
 // unfinished queries stay nil).
 func (st *Store) SearchAllContext(cx context.Context, queries [][]byte, opts SearchOptions, workers int) ([]*StoreResult, error) {
-	if workers <= 0 {
-		workers = 8
-	}
-	workers = min(workers, len(queries))
-	if workers == 0 {
+	if len(queries) == 0 {
 		return nil, nil
 	}
 	// Warm the shared lazy structures once (domination indexes for the
@@ -382,73 +377,31 @@ func (st *Store) SearchAllContext(cx context.Context, queries [][]byte, opts Sea
 	}
 	fp := optionsFingerprint(opts)
 	pool := st.sessionPool(fp)
-	results := make([]*StoreResult, len(queries))
-	errs := make([]error, len(queries))
-	var (
-		wg       sync.WaitGroup
-		cursor   atomic.Int64
-		failedAt atomic.Int64 // lowest failing query index; len(queries) = none
-		openOnce sync.Once
-		openErr  error
-	)
-	failedAt.Store(int64(len(queries)))
-	markFailed := func(qi int) {
-		for {
-			cur := failedAt.Load()
-			if int64(qi) >= cur || failedAt.CompareAndSwap(cur, int64(qi)) {
-				return
+	results, qi, err := runQueries(len(queries), workers, func() (func(int) (*StoreResult, error), func(), error) {
+		var ss *StoreSession
+		if v := pool.Get(); v != nil {
+			ss = v.(*StoreSession)
+		} else {
+			var err error
+			if ss, err = st.OpenSession(opts); err != nil {
+				return nil, nil, err
 			}
 		}
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ss *StoreSession
-			if v := pool.Get(); v != nil {
-				ss = v.(*StoreSession)
-			} else {
-				var err error
-				if ss, err = st.OpenSession(opts); err != nil {
-					// Configuration errors apply to every query; see
-					// Index.SearchAll for the claim-and-mark rationale.
-					openOnce.Do(func() { openErr = err })
-					qi := int(cursor.Add(1)) - 1
-					markFailed(min(qi, len(queries)-1))
-					return
-				}
+		search := func(qi int) (*StoreResult, error) {
+			if storeSearchAllStarted != nil {
+				storeSearchAllStarted(qi)
 			}
-			defer pool.Put(ss)
-			for {
-				if failedAt.Load() < int64(len(queries)) {
-					return
-				}
-				qi := int(cursor.Add(1)) - 1
-				if qi >= len(queries) {
-					return
-				}
-				if storeSearchAllStarted != nil {
-					storeSearchAllStarted(qi)
-				}
-				results[qi], errs[qi] = st.cachedSearch(cx, ss, fp, queries[qi])
-				if errs[qi] != nil {
-					markFailed(qi)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
+			return st.cachedSearch(cx, ss, fp, queries[qi])
+		}
+		return search, func() { pool.Put(ss) }, nil
+	})
 	if err := cx.Err(); err != nil {
 		// The batch was cancelled: the context's error outranks any
 		// per-query failure it induced.
 		return nil, err
 	}
-	if fa := int(failedAt.Load()); fa < len(queries) {
-		if errs[fa] != nil {
-			return nil, fmt.Errorf("alae: store query %d: %w", fa, errs[fa])
-		}
-		return nil, openErr
+	if err != nil && qi < len(queries) {
+		return nil, fmt.Errorf("alae: store query %d: %w", qi, err)
 	}
-	return results, nil
+	return results, err
 }
